@@ -35,10 +35,12 @@ class CostModel:
     """Cycle costs of the architectural events the simulator models.
 
     Attributes mirror the paper's measured numbers; see the module
-    docstring for provenance.  ``ewb_cycles`` (eviction write-back) is
-    kept separate and defaults to 0 because the paper folds eviction
-    into its 60k–64k fault total; set it non-zero to study heavier
-    eviction paths.
+    docstring for provenance.  ``ewb_cycles`` (eviction write-back,
+    default 12,000) is kept separate from the fault total: it is
+    charged as load-channel housekeeping after each load that evicted
+    a victim, so the next load on the channel starts that much later,
+    but the faulting access itself never waits for it.  Set it to 0 to
+    fold eviction entirely into the paper's 60k–64k fault total.
     """
 
     #: Asynchronous enclave exit taken when an enclave access faults.

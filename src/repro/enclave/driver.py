@@ -230,11 +230,14 @@ class SgxDriver:
         if self.sanitizer is not None:
             self.sanitizer.record_event(kind, start, end, page)
 
-    def _note_eviction(self, state) -> None:
-        """Account an eviction of one of *this* enclave's pages."""
+    def _note_eviction(self, code: int) -> None:
+        """Account an eviction of one of *this* enclave's pages.
+
+        ``code`` is the victim's final status byte.
+        """
         self.stats.evictions += 1
-        if state.preloaded:
-            if state.accessed:
+        if code & PAGE_PRELOADED:
+            if code & PAGE_ACCESSED:
                 # Correct preload caught at eviction before a scan
                 # could credit it.
                 self.stats.preloads_accessed += 1
@@ -247,12 +250,11 @@ class SgxDriver:
         """Land one page of this enclave in the EPC at ``finish``.
 
         Chooses a CLOCK victim when the EPC is full — possibly another
-        enclave's page, whose owner gets the eviction bookkeeping.
+        enclave's page, whose owner gets the eviction bookkeeping — and
+        lands the page in the victim's frame and ring slot in one step.
         Returns True when a victim was evicted, so the channel can
         charge the EWB housekeeping time.
         """
-        evicted = False
-        epc = self.epc
         if self._status_table[page]:
             # Already resident (the table spans this enclave's ELRANGE,
             # and loads are routed to the owning driver).
@@ -262,7 +264,9 @@ class SgxDriver:
                     self.sanitizer.check_redundant_preload(page, finish)
                 if self._profiling:
                     self._profiler.ledger_redundant(page, finish)
-            return evicted
+            return False
+        epc = self.epc
+        preloaded = kind is LoadKind.PRELOAD
         frames = self._platform.frames
         if frames is not None:
             # Per-tenant frame policy (fleet scenarios): the manager
@@ -271,59 +275,50 @@ class SgxDriver:
             # leave this tenant several pages over, so this loops until
             # the insert is within policy, not just until a frame is
             # free.
+            evicted = False
+            status = self._status_table
             while frames.needs_victim(self):
                 victim = frames.select_victim(self)
-                state = epc.evict(victim)
+                code = status[victim]
+                epc.evict(victim)
                 frames.note_evict(victim)
                 evicted = True
                 victim_owner = self._platform.owner_of(victim) or self
-                victim_owner._note_eviction(state)
-            epc.insert(page, preloaded=(kind is LoadKind.PRELOAD))
+                victim_owner._note_eviction(code)
+            epc.insert(page, preloaded=preloaded)
             frames.note_insert(self, page)
-            if self.sanitizer is not None:
-                self.sanitizer.check_load(page, kind, finish)
-            if kind is LoadKind.PRELOAD:
-                self.stats.preloads_completed += 1
-                if self._dfp is not None:
-                    self._dfp.note_preload_completed()
-                if self._observing:
-                    self._emit(
-                        EventKind.PRELOAD,
-                        finish - self.channel.load_cycles,
-                        finish,
-                        page,
-                    )
-            return evicted
-        if epc.is_full:
+        elif epc.is_full:
             evictor = self.evictor
             chances_before = evictor.second_chances
             victim = evictor.select_victim()
-            state = epc.evict(victim)
-            evictor.note_evict(victim)
+            code = epc.replace(victim, page, preloaded=preloaded)
+            evictor.note_replace(victim, page)
             evicted = True
             platform = self._platform
             if len(platform._owners) == 1:
                 victim_owner = self
             else:
                 victim_owner = platform.owner_of(victim) or self
-            victim_owner._note_eviction(state)
+            victim_owner._note_eviction(code)
             if victim_owner._profiling:
                 victim_owner._profiler.ledger_evict(
                     victim,
                     finish,
-                    accessed=state.accessed,
-                    preloaded=state.preloaded,
-                    second_chances=self.evictor.second_chances - chances_before,
+                    accessed=bool(code & PAGE_ACCESSED),
+                    preloaded=bool(code & PAGE_PRELOADED),
+                    second_chances=evictor.second_chances - chances_before,
                     for_page=page,
                     for_kind=kind.value,
                 )
-        epc.insert(page, preloaded=(kind is LoadKind.PRELOAD))
-        self.evictor.note_insert(page)
-        if self._profiling:
+        else:
+            evicted = False
+            epc.insert(page, preloaded=preloaded)
+            self.evictor.note_insert(page)
+        if self._profiling and frames is None:
             self._profiler.ledger_insert(page, kind.value, finish)
         if self.sanitizer is not None:
             self.sanitizer.check_load(page, kind, finish)
-        if kind is LoadKind.PRELOAD:
+        if preloaded:
             self.stats.preloads_completed += 1
             if self._dfp is not None:
                 self._dfp.note_preload_completed()
@@ -451,36 +446,23 @@ class SgxDriver:
         already resident, in flight, or already queued.
 
         Runs on every fault with a prediction, so the ELRANGE bounds,
-        the residency table and the channel lookups are hoisted out of
-        the per-page loop instead of being re-read per burst page.
+        the status table and the channel's queued-tag dict are hoisted
+        out of the per-page loop instead of being re-read per burst page.
         """
         base = self._base_page
         limit = self._limit_page
-        resident = self.epc.resident_map
+        status = self._status_table
         channel = self.channel
         current = channel.current_page
-        queued = channel.is_queued
+        queued = channel._queued_tag
         return [
             page
             for page in burst
             if base <= page < limit
-            and page not in resident
+            and not status[page]
             and page != current
-            and not queued(page)
+            and page not in queued
         ]
-
-    def _touch(self, page: int, *, hit: bool) -> None:
-        """Set the accessed bit; account preload hits on first touch."""
-        status = self._status_table
-        code = status[page]
-        if not code:
-            self.epc.state_of(page)  # raises EpcError: not resident
-        if not code & PAGE_ACCESSED:
-            if code & PAGE_PRELOADED:
-                self.stats.preload_hits += 1
-            status[page] = code | PAGE_ACCESSED
-        if hit:
-            self.stats.epc_hits += 1
 
     # ------------------------------------------------------------------
     # Application-visible entry points
@@ -529,17 +511,19 @@ class SgxDriver:
         observing = self._observing
         if observing:
             self._emit(EventKind.AEX, now, t)
-        self.channel.advance_to(t)
+        channel = self.channel
+        channel.advance_to(t)
 
-        if self.epc.is_resident(page):
+        current = channel._current
+        if status[page]:
             # A preload landed during the AEX itself.
             stats.faults_absorbed_by_inflight += 1
             if self._profiling:
                 self._profiler.ledger_fault(page, t, "absorbed")
-        elif self.channel.current_page == page:
+        elif current is not None and current[0] == page:
             # The page is mid-load on the non-preemptible channel:
             # ride the in-flight preload to completion.
-            finish = self.channel.wait_for_current(t)
+            finish = channel.wait_for_current(t)
             stats.faults_absorbed_by_inflight += 1
             stats.time.fault_wait += finish - t
             self._m_fault_wait_hist.observe(finish - t)
@@ -549,7 +533,7 @@ class SgxDriver:
             if self._profiling:
                 self._profiler.ledger_fault(page, t, "absorbed")
         else:
-            burst_tag = self.channel.queued_tag(page)
+            burst_tag = channel._queued_tag.get(page)
             if burst_tag is not None:
                 # Fault inside a queued burst: the preloader fell
                 # behind — abort that burst's remainder (in-stream
@@ -562,20 +546,20 @@ class SgxDriver:
                         self._profiler.ledger_abort(
                             doomed, t, "in_stream", trigger=page
                         )
-                dropped = self.channel.abort_tag(burst_tag, t)
+                dropped = channel.abort_tag(burst_tag, t)
                 self._m_abort_instream.inc()
                 self._m_abort_instream_pages.inc(dropped)
                 if self._dfp is not None and dropped:
                     self._dfp.note_aborted(dropped)
                 if observing:
                     self._emit(EventKind.ABORT, t, t, page)
-            finish = self.channel.load_sync(page, LoadKind.DEMAND, t)
+            finish = channel.load_sync(page, LoadKind.DEMAND, t)
             stats.time.fault_wait += finish - t
             self._m_fault_wait_hist.observe(finish - t)
             if observing:
                 self._emit(
                     EventKind.DEMAND_LOAD,
-                    finish - self.channel.load_cycles,
+                    finish - channel.load_cycles,
                     finish,
                     page,
                 )
@@ -599,7 +583,7 @@ class SgxDriver:
                 if pages:
                     if self.sanitizer is not None:
                         self.sanitizer.check_enqueue(pages, t)
-                    self.channel.enqueue_preloads(pages, t)
+                    channel.enqueue_preloads(pages, t)
                     if self._profiling:
                         self._profiler.ledger_enqueue(pages, t)
 
@@ -607,7 +591,15 @@ class SgxDriver:
         stats.time.eresume += cost.eresume_cycles
         if observing:
             self._emit(EventKind.ERESUME, t, end)
-        self._touch(page, hit=False)
+        # The faulting page is resident now: set its A bit (a landed
+        # preload's first touch counts as a preload hit).
+        code = status[page]
+        if not code:
+            self.epc.state_of(page)  # raises EpcError: not resident
+        if not code & PAGE_ACCESSED:
+            if code & PAGE_PRELOADED:
+                stats.preload_hits += 1
+            status[page] = code | PAGE_ACCESSED
         self._clock_hw = end
         return end
 

@@ -43,11 +43,19 @@ with no Python-level work per event.
 and writes through its ``accessed``/``preloaded`` properties go
 straight to the table, so code holding a state object and code
 scanning the table can never disagree.
+
+The status byte is the **only** residency record: :class:`Epc` keeps
+no per-page map beside it, just an occupancy count.  Views are built
+on demand by :meth:`Epc.lookup`/:meth:`Epc.state_of`, and
+:meth:`Epc.resident_pages` walks the table.  A load that needs a
+victim is one residency change, booked by :meth:`Epc.replace` in one
+step (clear the victim's byte, write the landing page's byte).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from itertools import compress
+from typing import Iterator, Optional
 
 from repro.errors import EpcError
 
@@ -156,11 +164,12 @@ class Epc:
         if capacity <= 0:
             raise EpcError(f"EPC capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._resident: Dict[int, EpcPageState] = {}
-        # Source of truth for the per-page bits: one status byte per
-        # page of the covered address space (grown, never rebound, so
-        # bound references like ``table.__getitem__`` stay valid).
+        # The only residency record: one status byte per page of the
+        # covered address space (grown, never rebound, so bound
+        # references like ``table.__getitem__`` stay valid), plus the
+        # number of non-zero bytes in it.
         self._status = bytearray()
+        self._count = 0
         # Lifetime counters, exposed for stats and invariant tests.
         self.total_inserts = 0
         self.total_evictions = 0
@@ -177,30 +186,25 @@ class Epc:
     @property
     def resident_count(self) -> int:
         """Number of pages currently resident."""
-        return len(self._resident)
+        return self._count
 
     @property
     def free_frames(self) -> int:
         """Number of frames currently unoccupied."""
-        return self._capacity - len(self._resident)
+        return self._capacity - self._count
 
     @property
     def is_full(self) -> bool:
         """True when an insert would require an eviction first."""
-        return len(self._resident) >= self._capacity
+        return self._count >= self._capacity
 
     def is_resident(self, page: int) -> bool:
         """True if virtual ``page`` currently occupies an EPC frame."""
-        return page in self._resident
+        return 0 <= page < len(self._status) and self._status[page] != PAGE_ABSENT
 
     def lookup(self, page: int) -> Optional[EpcPageState]:
-        """The metadata of ``page`` if resident, else ``None``.
-
-        One dictionary probe combining :meth:`is_resident` and
-        :meth:`state_of` — the driver's access fast path runs this
-        once per page touch, which is once per simulated event.
-        """
-        return self._resident.get(page)
+        """A live view of ``page``'s metadata if resident, else ``None``."""
+        return EpcPageState._view(self._status, page) if self.is_resident(page) else None
 
     def state_of(self, page: int) -> EpcPageState:
         """Return the metadata of a resident page.
@@ -208,28 +212,14 @@ class Epc:
         Raises :class:`EpcError` for non-resident pages: callers must
         check residency first, mirroring the driver's own flow.
         """
-        try:
-            return self._resident[page]
-        except KeyError:
-            raise EpcError(f"page {page} is not resident") from None
+        state = self.lookup(page)
+        if state is None:
+            raise EpcError(f"page {page} is not resident")
+        return state
 
     def resident_pages(self) -> Iterator[int]:
-        """Iterate over the resident page numbers (scan-thread view)."""
-        return iter(self._resident)
-
-    @property
-    def resident_map(self) -> Dict[int, EpcPageState]:
-        """The live page → :class:`EpcPageState` residency table.
-
-        Exposed for bulk membership checks (e.g. the driver's burst
-        filter): one bound lookup on this dict replaces a ``lookup``
-        call per page.  The dict object is stable for the EPC's
-        lifetime (it is mutated, never rebound).  Callers must treat
-        it as read-only — residency changes go through
-        :meth:`insert`/:meth:`evict` so the lifetime counters and the
-        evictor stay consistent.
-        """
-        return self._resident
+        """Iterate over the resident page numbers, in page order."""
+        return compress(range(len(self._status)), self._status)
 
     @property
     def status_table(self) -> bytearray:
@@ -237,11 +227,14 @@ class Epc:
 
         ``status_table[page]`` is ``PAGE_ABSENT`` for every
         non-resident page of the covered span, else one of the four
-        resident codes.  The object is grown in place and never
-        rebound, so hot paths may hold it (or a bound
-        ``__getitem__``) across residency changes.  Only the driver
-        and the simulation engines may write through it; everything
-        else mutates bits via :class:`EpcPageState` views or the
+        resident codes; no other structure records residency.  The
+        object is grown in place and never rebound, so hot paths may
+        hold it (or a bound ``__getitem__``) across residency changes.
+        Only the driver and the simulation engines may write through
+        it, and only the accessed/preloaded bits: residency itself
+        changes through :meth:`insert`/:meth:`evict`/:meth:`replace`,
+        which keep the occupancy count in step.  Everything else
+        mutates bits via :class:`EpcPageState` views or the
         ``mark``/``clear`` helpers, which edit the same bytes.
         """
         return self._status
@@ -270,19 +263,17 @@ class Epc:
         """
         if page < 0:
             raise EpcError(f"page numbers must be non-negative, got {page}")
-        if page in self._resident:
+        status = self._status
+        if page < len(status) and status[page]:
             raise EpcError(f"page {page} is already resident")
         if self.is_full:
             raise EpcError("EPC is full; evict a page before inserting")
-        if page >= len(self._status):
+        if page >= len(status):
             self.ensure_page_span(page + 1)
-        self._status[page] = (
-            PAGE_RESIDENT | PAGE_PRELOADED if preloaded else PAGE_RESIDENT
-        )
-        state = EpcPageState._view(self._status, page)
-        self._resident[page] = state
+        status[page] = PAGE_RESIDENT | PAGE_PRELOADED if preloaded else PAGE_RESIDENT
+        self._count += 1
         self.total_inserts += 1
-        return state
+        return EpcPageState._view(status, page)
 
     def evict(self, page: int) -> EpcPageState:
         """Evict ``page`` to untrusted memory (the EWB effect).
@@ -291,17 +282,42 @@ class Epc:
         metadata so the caller can account for evicted-before-use
         preloads after the table slot is cleared.
         """
-        try:
-            del self._resident[page]
-        except KeyError:
-            raise EpcError(f"cannot evict non-resident page {page}") from None
-        code = self._status[page]
-        self._status[page] = PAGE_ABSENT
+        status = self._status
+        code = status[page] if 0 <= page < len(status) else PAGE_ABSENT
+        if not code:
+            raise EpcError(f"cannot evict non-resident page {page}")
+        status[page] = PAGE_ABSENT
+        self._count -= 1
         self.total_evictions += 1
         return EpcPageState(
             accessed=bool(code & PAGE_ACCESSED),
             preloaded=bool(code & PAGE_PRELOADED),
         )
+
+    def replace(self, victim: int, page: int, *, preloaded: bool = False) -> int:
+        """Evict ``victim`` and land ``page`` in its frame, in one step.
+
+        The fused EWB + ELDU of a load into a full EPC: the same effect
+        as :meth:`evict` then :meth:`insert`, with the occupancy count
+        unchanged.  Returns the victim's final status byte for the
+        eviction accounting.  Raises :class:`EpcError`, changing
+        nothing, if ``victim`` is not resident or ``page`` already is.
+        """
+        status = self._status
+        code = status[victim] if 0 <= victim < len(status) else PAGE_ABSENT
+        if not code:
+            raise EpcError(f"cannot evict non-resident page {victim}")
+        if page < 0:
+            raise EpcError(f"page numbers must be non-negative, got {page}")
+        if page >= len(status):
+            self.ensure_page_span(page + 1)
+        elif status[page]:
+            raise EpcError(f"page {page} is already resident")
+        status[victim] = PAGE_ABSENT
+        status[page] = PAGE_RESIDENT | PAGE_PRELOADED if preloaded else PAGE_RESIDENT
+        self.total_evictions += 1
+        self.total_inserts += 1
+        return code
 
     def mark_accessed(self, page: int) -> EpcPageState:
         """Set the accessed bit of a resident page (hardware A-bit)."""

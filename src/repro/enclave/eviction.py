@@ -32,9 +32,9 @@ class ClockEvictor:
     page whose bit is already clear.  Empty slots (free frames) are
     skipped.
 
-    The evictor must be told about every insert and evict so its ring
-    stays consistent with the EPC; the driver is the single caller of
-    both, which keeps that contract easy to honour.
+    The evictor must be told about every insert, evict and replace so
+    its ring stays consistent with the EPC; the driver is the single
+    caller of all three, which keeps that contract easy to honour.
 
     ``capacity`` overrides the ring size (default: the whole EPC).  A
     partitioned frame policy (:mod:`repro.enclave.platform`) runs one
@@ -57,7 +57,7 @@ class ClockEvictor:
         self.second_chances = 0
 
     # ------------------------------------------------------------------
-    # Ring maintenance (driven by the driver on insert/evict)
+    # Ring maintenance (driven by the driver on insert/evict/replace)
     # ------------------------------------------------------------------
 
     def note_insert(self, page: int) -> None:
@@ -79,6 +79,24 @@ class ClockEvictor:
         self._ring[slot] = None
         self._free_slots.append(slot)
 
+    def note_replace(self, victim: int, page: int) -> None:
+        """Put ``page`` into the ring slot of the just-replaced ``victim``.
+
+        The ring half of :meth:`Epc.replace`.  The free-slot stack is
+        LIFO, so this is exactly :meth:`note_evict` then
+        :meth:`note_insert`.  Raises :class:`EpcError`, changing
+        nothing, if ``victim`` is untracked or ``page`` is tracked.
+        """
+        slot_of = self._slot_of
+        if page in slot_of:
+            raise EpcError(f"page {page} already tracked by the evictor")
+        try:
+            slot = slot_of.pop(victim)
+        except KeyError:
+            raise EpcError(f"page {victim} not tracked by the evictor") from None
+        self._ring[slot] = page
+        slot_of[page] = slot
+
     # ------------------------------------------------------------------
     # Victim selection
     # ------------------------------------------------------------------
@@ -92,11 +110,15 @@ class ClockEvictor:
         """
         if not self._slot_of:
             raise EpcError("cannot select a victim from an empty EPC")
-        capacity = len(self._ring)
+        ring = self._ring
+        capacity = len(ring)
         status = self._status
+        hand = self._hand
         for _ in range(2 * capacity):
-            page = self._ring[self._hand]
-            self._hand = (self._hand + 1) % capacity
+            page = ring[hand]
+            hand += 1
+            if hand == capacity:
+                hand = 0
             if page is None:
                 continue
             code = status[page]
@@ -106,5 +128,7 @@ class ClockEvictor:
                 status[page] = code ^ PAGE_ACCESSED
                 self.second_chances += 1
                 continue
+            self._hand = hand
             return page
+        self._hand = hand
         raise EpcError("CLOCK failed to find a victim in two revolutions")

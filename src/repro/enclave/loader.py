@@ -92,6 +92,10 @@ class LoadChannel:
         self.preloads_completed = 0
         self.preloads_aborted = 0
 
+    def route(self, apply_load: ApplyLoad) -> None:
+        """Send every later landing to ``apply_load`` instead."""
+        self._apply = apply_load
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -28,8 +28,8 @@ class SharedBitmap:
 
     In the prototype the OS writes this bitmap on every EPC load and
     eviction; here the "writes" are implicit because the view is backed
-    directly by the EPC residency set, which is updated at exactly
-    those two points.  The behaviour observable to the enclave code is
+    directly by the EPC status table, whose residency bit changes at
+    exactly those two points.  The behaviour observable to the enclave code is
     identical; the class keeps a read counter so experiments can verify
     the cost accounting of ``BIT_MAP_CHECK``.
     """

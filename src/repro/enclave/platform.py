@@ -12,7 +12,9 @@ contends for — the EPC frame pool, the CLOCK evictor, the exclusive
 load channel, and the service-thread schedule — and routes hardware
 events back to the owning enclave's driver:
 
-* completed loads are applied by the *loading* enclave's driver;
+* completed loads are applied by the *loading* enclave's driver (the
+  channel calls a lone enclave's driver directly, skipping the owner
+  lookup);
 * eviction bookkeeping (preload credits, evicted-unused counts) goes
   to the *victim page's* owner — under contention the CLOCK victim is
   frequently another enclave's page;
@@ -78,8 +80,9 @@ class SharedPlatform:
         )
         # (base, limit, driver), sorted by base; ``_bases`` is the
         # parallel sorted key array ``owner_of`` bisects over — the
-        # lookup runs on every cross-enclave eviction and every load
-        # completion, so it must not scan linearly over the fleet.
+        # lookup runs on every cross-enclave eviction and, with two or
+        # more enclaves, every load completion, so it must not scan
+        # linearly over the fleet.
         self._owners: List[Tuple[int, int, "SgxDriver"]] = []
         self._bases: List[int] = []
         self._next_scan = config.scan_period_cycles
@@ -110,6 +113,11 @@ class SharedPlatform:
         self._owners.append((base, limit, driver))
         self._owners.sort(key=lambda item: item[0])
         self._bases = [lo for lo, _hi, _d in self._owners]
+        # A lone enclave owns every landing, so the channel calls its
+        # driver directly; a second enclave brings owner routing back.
+        self.channel.route(
+            driver._apply_load if len(self._owners) == 1 else self._on_load
+        )
         # Cover the enclave's page range in the status table up front
         # so the per-access hot paths can index it unconditionally.
         self.epc.ensure_page_span(limit)

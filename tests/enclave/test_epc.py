@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enclave.epc import Epc
+from repro.enclave.epc import PAGE_ACCESSED, PAGE_PRELOADED, PAGE_RESIDENT, Epc
 from repro.errors import EpcError
 
 
@@ -105,3 +105,64 @@ class TestIteration:
         for page in (3, 5, 7):
             epc.insert(page)
         assert sorted(epc.resident_pages()) == [3, 5, 7]
+
+
+class TestReplace:
+    """The fused evict-and-land step (``Epc.replace``)."""
+
+    def full_epc(self):
+        epc = Epc(2)
+        epc.insert(0, preloaded=True)
+        epc.insert(1)
+        epc.mark_accessed(0)
+        return epc
+
+    def test_replace_swaps_residency_and_returns_victim_byte(self):
+        epc = self.full_epc()
+        code = epc.replace(0, 5, preloaded=True)
+        assert code == PAGE_RESIDENT | PAGE_ACCESSED | PAGE_PRELOADED
+        assert not epc.is_resident(0)
+        assert epc.status_table[5] == PAGE_RESIDENT | PAGE_PRELOADED
+        assert epc.resident_count == 2
+        assert (epc.total_inserts, epc.total_evictions) == (3, 1)
+
+    def test_replace_grows_the_table_for_a_new_page(self):
+        epc = self.full_epc()
+        epc.replace(1, 100)
+        assert epc.is_resident(100)
+
+    def test_non_resident_victim_rejected(self):
+        epc = self.full_epc()
+        before = bytes(epc.status_table)
+        with pytest.raises(EpcError, match="non-resident page 7"):
+            epc.replace(7, 5)
+        assert bytes(epc.status_table) == before
+        assert epc.total_evictions == 0
+
+    def test_already_resident_page_rejected(self):
+        epc = self.full_epc()
+        before = bytes(epc.status_table)
+        with pytest.raises(EpcError, match="page 1 is already resident"):
+            epc.replace(0, 1)
+        assert bytes(epc.status_table) == before
+        assert epc.total_inserts == 2
+
+
+class TestTableIsTheResidencyRecord:
+    def test_lookup_and_state_of_are_views_of_the_byte(self):
+        epc = Epc(2)
+        epc.insert(3)
+        epc.status_table[3] |= PAGE_ACCESSED
+        assert epc.lookup(3).accessed
+        assert epc.state_of(3).accessed
+        assert epc.lookup(4) is None
+        assert epc.lookup(-1) is None
+        with pytest.raises(EpcError):
+            epc.state_of(4)
+
+    def test_negative_page_is_never_resident(self):
+        epc = Epc(2)
+        epc.insert(0)
+        assert not epc.is_resident(-1)
+        with pytest.raises(EpcError):
+            epc.evict(-1)

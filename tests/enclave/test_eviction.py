@@ -41,6 +41,30 @@ class TestRingMaintenance:
         insert(epc, evictor, 2)  # must not overflow the ring
         assert sorted(epc.resident_pages()) == [1, 2]
 
+    def test_replace_takes_the_victims_slot(self):
+        epc, evictor = make(2)
+        insert(epc, evictor, 0)
+        insert(epc, evictor, 1)
+        epc.replace(0, 2)
+        evictor.note_replace(0, 2)
+        assert evictor._ring == [2, 1]
+        assert evictor._slot_of == {1: 1, 2: 0}
+
+    def test_replace_of_untracked_victim_rejected(self):
+        epc, evictor = make(2)
+        insert(epc, evictor, 0)
+        with pytest.raises(EpcError, match="page 9 not tracked"):
+            evictor.note_replace(9, 5)
+        assert evictor._slot_of == {0: 0}
+
+    def test_replace_with_tracked_page_rejected(self):
+        epc, evictor = make(2)
+        insert(epc, evictor, 0)
+        insert(epc, evictor, 1)
+        with pytest.raises(EpcError, match="page 1 already tracked"):
+            evictor.note_replace(0, 1)
+        assert evictor._slot_of == {0: 0, 1: 1}
+
 
 class TestVictimSelection:
     def test_empty_epc_rejected(self):

@@ -157,3 +157,37 @@ class TestSharedScan:
         # Only B's pages (>= 1000) disappeared from the queue.
         assert all(page < 1000 for page in queued_after)
         assert queued_before - queued_after <= {1012, 1013, 1014, 1015}
+
+
+class TestLandingRoute:
+    def test_lone_driver_lands_without_owner_lookup(self, monkeypatch):
+        """A lone enclave's landings go straight to its driver: demand
+        loads, preloads and CLOCK evictions never ask ``owner_of``."""
+
+        def no_lookup(self, page):
+            raise AssertionError(f"owner_of({page}) called on a one-driver platform")
+
+        monkeypatch.setattr(SharedPlatform, "owner_of", no_lookup)
+        config = SimConfig(epc_pages=8, scan_period_cycles=10**9)
+        platform = SharedPlatform(config)
+        a = add_enclave(platform, config, "a", 0, 100, dfp=True)
+        t = 0
+        for page in range(40):
+            t = a.access(page, t)
+        a.finish(t + 10 * 44_000)
+        assert a.stats.preloads_completed > 0
+        assert a.stats.evictions > 0
+
+    def test_second_driver_lands_its_own_preloads(self):
+        """Once a second enclave registers, landings are routed by
+        owner: B's preloads complete in B's stats, not A's."""
+        config = SimConfig(epc_pages=32, scan_period_cycles=10**9)
+        platform = SharedPlatform(config)
+        a = add_enclave(platform, config, "a", 0, 1000, dfp=True)
+        b = add_enclave(platform, config, "b", 1000, 1000, dfp=True)
+        t = b.access(1010, 0)
+        t = b.access(1011, t)  # B's burst 1012..1015
+        b.poll(t + 5 * 44_000)
+        assert platform.epc.is_resident(1012)
+        assert b.stats.preloads_completed == 4
+        assert a.stats.preloads_completed == 0
