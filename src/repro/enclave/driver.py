@@ -65,12 +65,19 @@ class SgxDriver:
         event_capacity: Optional[int] = None,
         profiler: Optional[PagingProfiler] = None,
     ) -> None:
-        self._config = config
+        # Keep instances at 30 attributes or fewer: past that, CPython
+        # stops sharing instance-dict keys, and every attribute read on
+        # the per-access hot path takes the slower dict lookup.
         self._cost = config.cost
         self._enclave = enclave
         # ELRANGE bounds, hoisted for the per-access fast path.
         self._base_page = enclave.base_page
         self._limit_page = enclave.base_page + enclave.elrange_pages
+        # Dirty span [_dirty_lo, _dirty_hi): bounds the pages whose
+        # accessed bit this driver set since the last scan, which ages
+        # only the span and resets it to empty (lo = limit, hi = base).
+        self._dirty_lo = self._limit_page
+        self._dirty_hi = self._base_page
         self._dfp = dfp
         self._platform = platform if platform is not None else SharedPlatform(config)
         self._platform.register(self)
@@ -165,7 +172,6 @@ class SgxDriver:
         With the shared NULL registry all of these are no-op
         singletons, so the disabled path costs one dead method call.
         """
-        self._metrics = metrics
         stats = self.stats
         time = stats.time
         if metrics.enabled:
@@ -367,9 +373,11 @@ class SgxDriver:
                 if dropped:
                     self._dfp.note_aborted(dropped)
         if self.sanitizer is not None:
-            # Per-tick cross-checks: valve-counter sanity and the
+            # Per-tick cross-checks: the scan aged every accessed bit
+            # of this enclave, valve-counter sanity, and the
             # bucket-sum-equals-clock accounting identity (the engine
             # checks the latter only once, at run end).
+            self.sanitizer.check_aged(self._base_page, self._limit_page, now)
             if self._dfp is not None:
                 self.sanitizer.check_counters(
                     self._dfp.preload_counter, self._dfp.acc_preload_counter, now
@@ -498,6 +506,10 @@ class SgxDriver:
                 if code & PAGE_PRELOADED:
                     stats.preload_hits += 1
                 status[page] = code | PAGE_ACCESSED
+                if page < self._dirty_lo:
+                    self._dirty_lo = page
+                if page >= self._dirty_hi:
+                    self._dirty_hi = page + 1
             stats.epc_hits += 1
             if self._profiling:
                 self._profiler.ledger_hit(page, now)
@@ -600,6 +612,10 @@ class SgxDriver:
             if code & PAGE_PRELOADED:
                 stats.preload_hits += 1
             status[page] = code | PAGE_ACCESSED
+            if page < self._dirty_lo:
+                self._dirty_lo = page
+            if page >= self._dirty_hi:
+                self._dirty_hi = page + 1
         self._clock_hw = end
         return end
 

@@ -236,6 +236,14 @@ class Epc:
         which keep the occupancy count in step.  Everything else
         mutates bits via :class:`EpcPageState` views or the
         ``mark``/``clear`` helpers, which edit the same bytes.
+
+        Any code that sets an accessed bit in a platform's table must
+        also widen the owning driver's dirty span
+        (``_dirty_lo``/``_dirty_hi``): the service-thread scan ages and
+        credits only those spans.  Views and :meth:`mark_accessed` do
+        not widen it, so they are for standalone EPCs only; on a
+        sanitized platform an accessed bit set through them fails the
+        post-scan check.
         """
         return self._status
 

@@ -24,12 +24,16 @@ events back to the owning enclave's driver:
 A single-enclave driver constructs a private platform transparently,
 so the common case is unchanged.  Page numbering is global: each
 registered enclave occupies the disjoint range
-``[base_page, base_page + elrange_pages)``.
+``[base_page, base_page + elrange_pages)``; a page-indexed owner
+table routes landings and evictions to their driver.  The scan touches
+only each driver's *dirty span* — the pages whose accessed bit it set
+since the previous scan — so its byte work follows the pages touched,
+not the registered address space.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import SimConfig
@@ -54,10 +58,13 @@ __all__ = [
 ]
 
 #: An accessed page with a pending preload credit: the byte the scan
-#: counts per owner range to credit correct preloads.
+#: counts over each owner's dirty span to credit correct preloads.
 _PAGE_CREDITED = PAGE_RESIDENT | PAGE_ACCESSED | PAGE_PRELOADED
 
-#: Scan-aging byte translation: one C-level pass over the status table
+#: Largest owner slot the two-byte page→owner table can hold.
+_MAX_SLOT = 0xFFFF
+
+#: Scan-aging byte translation: one C-level pass over a dirty span
 #: clears every accessed bit, and for accessed+preloaded pages the
 #: preloaded bit too (the credit was just taken); absent, clean and
 #: untouched-preloaded pages pass through unchanged.
@@ -78,13 +85,18 @@ class SharedPlatform:
             self._on_load,
             evict_cycles=config.cost.ewb_cycles,
         )
-        # (base, limit, driver), sorted by base; ``_bases`` is the
-        # parallel sorted key array ``owner_of`` bisects over — the
-        # lookup runs on every cross-enclave eviction and, with two or
-        # more enclaves, every load completion, so it must not scan
-        # linearly over the fleet.
+        # (base, limit, driver), sorted by base: the scan's and
+        # ``drivers``' iteration order.
         self._owners: List[Tuple[int, int, "SgxDriver"]] = []
-        self._bases: List[int] = []
+        # Page-indexed owner table over the registered address space:
+        # ``_owner_slots[_page_owners[page]]`` is the page's driver, and
+        # slot 0 (``None``) marks the gaps between ranges.  Routing runs
+        # on every cross-enclave eviction and, with two or more
+        # enclaves, every load completion, so it is an index, never a
+        # search over the fleet.  The table spans every page ever
+        # registered, so it holds two-byte slots, not list references.
+        self._page_owners = array("H")
+        self._owner_slots: List[Optional["SgxDriver"]] = [None]
         self._next_scan = config.scan_period_cycles
         self._last_now = 0
         #: Optional per-tenant frame policy (:class:`FrameManager`).
@@ -110,9 +122,19 @@ class SharedPlatform:
                     f"enclave {enclave.name!r} pages [{base}, {limit}) overlap "
                     f"an already-registered enclave's [{lo}, {hi})"
                 )
+        slot = len(self._owner_slots)
+        if slot > _MAX_SLOT:
+            raise SimulationError(
+                f"enclave {enclave.name!r}: a platform registers at most "
+                f"{_MAX_SLOT} enclaves"
+            )
         self._owners.append((base, limit, driver))
         self._owners.sort(key=lambda item: item[0])
-        self._bases = [lo for lo, _hi, _d in self._owners]
+        self._owner_slots.append(driver)
+        page_owners = self._page_owners
+        if limit > len(page_owners):
+            page_owners.frombytes(bytes(2 * (limit - len(page_owners))))
+        page_owners[base:limit] = array("H", (slot,)) * (limit - base)
         # A lone enclave owns every landing, so the channel calls its
         # driver directly; a second enclave brings owner routing back.
         self.channel.route(
@@ -125,15 +147,12 @@ class SharedPlatform:
     def owner_of(self, page: int) -> Optional["SgxDriver"]:
         """The driver whose enclave owns ``page`` (None if unowned).
 
-        Ranges are disjoint and sorted, so the candidate is the last
-        range starting at or below ``page`` — one bisect, not a scan
-        over every registered enclave.
+        One lookup in the page-indexed owner table; ``None`` for a page
+        in a gap between ranges, past the last range, or negative.
         """
-        index = bisect_right(self._bases, page) - 1
-        if index >= 0:
-            lo, hi, driver = self._owners[index]
-            if lo <= page < hi:
-                return driver
+        page_owners = self._page_owners
+        if 0 <= page < len(page_owners):
+            return self._owner_slots[page_owners[page]]
         return None
 
     @property
@@ -147,7 +166,12 @@ class SharedPlatform:
 
     def _on_load(self, page: int, kind: LoadKind, finish: int) -> bool:
         """Channel callback: route the landing to the owning driver."""
-        owner = self.owner_of(page)
+        page_owners = self._page_owners
+        owner = (
+            self._owner_slots[page_owners[page]]
+            if 0 <= page < len(page_owners)
+            else None
+        )
         if owner is None:
             raise SimulationError(f"load completed for unowned page {page}")
         return owner._apply_load(page, kind, finish)
@@ -205,24 +229,30 @@ class SharedPlatform:
         """One global scan: age access bits, credit preloads per owner,
         then let each enclave's valve react.
 
-        Runs at C speed over the status table: each owner's credit is
-        a byte count over its page range (an accessed+preloaded page is
-        exactly one ``RESIDENT|ACCESSED|PRELOADED`` byte), then a
-        single translation pass clears every accessed bit.  Ranges are
-        disjoint and non-resident bytes are ``PAGE_ABSENT``, so this
-        is equivalent to the per-resident-page walk it replaces.
+        Runs at C speed over each owner's dirty span only: the credit
+        is a byte count over the span (an accessed+preloaded page is
+        exactly one ``RESIDENT|ACCESSED|PRELOADED`` byte), then one
+        translation of the span clears its accessed bits, and the span
+        resets to empty.  No byte outside the spans has its accessed
+        bit set, so an owner with an empty span gets credit 0 and no
+        byte work — the result equals a count and translate over the
+        whole status table.  Every count and all aging happen before
+        the first ``_after_scan``, which still runs for every owner.
         """
         status = self.epc.status_table
         owners = self._owners
-        if len(owners) == 1:
-            credits = (status.count(_PAGE_CREDITED),)
-        else:
-            credits = tuple(
-                status.count(_PAGE_CREDITED, lo, hi)
-                for lo, hi, _driver in owners
-            )
-        status[:] = status.translate(_SCAN_AGING)
-        for (_lo, _hi, driver), credited in zip(owners, credits):
+        credits = []
+        for _base, _limit, driver in owners:
+            lo = driver._dirty_lo
+            hi = driver._dirty_hi
+            if lo < hi:
+                credits.append(status.count(_PAGE_CREDITED, lo, hi))
+                status[lo:hi] = status[lo:hi].translate(_SCAN_AGING)
+                driver._dirty_lo = driver._limit_page
+                driver._dirty_hi = driver._base_page
+            else:
+                credits.append(0)
+        for (_base, _limit, driver), credited in zip(owners, credits):
             driver._after_scan(now, credited)
 
 

@@ -20,7 +20,12 @@ the sanitizer at every structural event and the sanitizer asserts:
 * the in-stream abort only ever cancels *queued* (never
   already-loaded) pages;
 * at every service-thread tick — not only at run end — the per-bucket
-  cycle accounting sums to the application clock.
+  cycle accounting sums to the application clock;
+* after every scan, no page of the enclave's range still has its
+  accessed bit set (an A bit set outside the driver's dirty span —
+  e.g. through an :class:`~repro.enclave.epc.EpcPageState` view or
+  :meth:`~repro.enclave.epc.Epc.mark_accessed` — would escape the
+  scan's aging and credit).
 
 The sanitizer is read-only: it never changes timing or stats, so a
 sanitized run produces bit-identical :class:`~repro.sim.results.RunResult`
@@ -35,6 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterable, Optional, TYPE_CHECKING
 
+from repro.enclave.epc import PAGE_ACCESSED
 from repro.enclave.events import EventKind
 from repro.errors import SanitizerError
 
@@ -47,6 +53,9 @@ __all__ = ["SimSanitizer", "TRACE_TAIL_LENGTH"]
 
 #: How many trailing trace entries a :class:`SanitizerError` carries.
 TRACE_TAIL_LENGTH = 24
+
+#: Status-byte translation keeping only the accessed bit.
+_ACCESSED_ONLY = bytes(code & PAGE_ACCESSED for code in range(256))
 
 
 class SimSanitizer:
@@ -192,6 +201,25 @@ class SimSanitizer:
         )
         self._last_preload_counter = preload_counter
         self._last_acc_counter = acc_counter
+
+    def check_aged(self, base: int, limit: int, now: int) -> None:
+        """The scan just ran: pages ``[base, limit)`` must be aged.
+
+        The scan ages only each driver's dirty span, so an accessed bit
+        set without widening the span survives it (and its preload
+        credit is never taken).
+        """
+        stale = (
+            self._epc.status_table[base:limit]
+            .translate(_ACCESSED_ONLY)
+            .count(PAGE_ACCESSED)
+        )
+        self._check(
+            not stale,
+            f"{stale} page(s) of [{base}, {limit}) still have the accessed "
+            f"bit set after the scan at t={now}: an accessed bit was set "
+            "outside the driver's dirty span",
+        )
 
     def check_tick(self, stats: "RunStats", clock: int, now: int) -> None:
         """Per-tick accounting: buckets must reconstruct the clock.

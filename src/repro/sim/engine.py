@@ -186,6 +186,11 @@ def _run_batched(
     sip_prefetch = driver.sip_prefetch
     or_accessed = _OR_ACCESSED
     pending = _PRELOAD_PENDING
+    # A retired run sets accessed bits inside the ELRANGE, so each run
+    # widens the driver's dirty span to all of it (two stores; the
+    # next scan ages the span and resets it).
+    elrange_lo = driver._base_page
+    elrange_hi = driver._limit_page
     # Run retirement is inlined below (RL011 sanctions bulk RunStats
     # mutation exactly here and in the driver): per
     # :meth:`~repro.enclave.driver.SgxDriver.retire_run`'s contract,
@@ -316,6 +321,8 @@ def _run_batched(
                         pos = rflags.find(pending, pos + 1)
                     hits = len(seen)
                 consume(map(status_set, run, rflags.translate(or_accessed)))
+                driver._dirty_lo = elrange_lo
+                driver._dirty_hi = elrange_hi
                 last = i + stop - 1
                 delta = horizon_cum[last] - offset
                 now += delta

@@ -130,3 +130,31 @@ class TestValve:
         driver.poll(SCAN + 1)
         assert dfp.active
         assert driver.stats.valve_stops == 0
+
+
+class TestDirtySpan:
+    def test_span_starts_empty(self):
+        driver, _ = make()
+        assert driver._dirty_lo == 2048
+        assert driver._dirty_hi == 0
+
+    def test_touches_widen_and_scan_resets(self):
+        driver, _ = make(valve=False)
+        t = driver.access(100, 0)
+        assert (driver._dirty_lo, driver._dirty_hi) == (100, 101)
+        t = driver.access(40, t)
+        assert (driver._dirty_lo, driver._dirty_hi) == (40, 101)
+        driver.poll(driver.next_wakeup())
+        while driver.stats.scans == 0:
+            driver.poll(driver.next_wakeup())
+        assert (driver._dirty_lo, driver._dirty_hi) == (2048, 0)
+        assert not driver.epc.state_of(100).accessed
+        # A resident hit sets the A bit again and re-opens the span.
+        driver.access(100, driver._last_now)
+        assert (driver._dirty_lo, driver._dirty_hi) == (100, 101)
+
+    def test_instance_stays_within_shared_key_limit(self):
+        """CPython shares instance-dict keys only up to 30 attributes;
+        past that every hot-path attribute read slows down."""
+        driver, _ = make()
+        assert len(vars(driver)) <= 30

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.core.dfp import DfpConfig, DfpEngine
+from repro.enclave import platform as platform_module
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
+from repro.enclave.loader import LoadKind
 from repro.enclave.platform import SharedPlatform
 from repro.errors import SimulationError
 
@@ -46,6 +48,31 @@ class TestRegistration:
         assert platform.owner_of(100) is b
         assert platform.owner_of(199) is b
         assert platform.owner_of(200) is None
+
+    def test_owner_lookup_outside_every_range(self):
+        platform, config = make_platform()
+        add_enclave(platform, config, "a", 0, 100)
+        add_enclave(platform, config, "b", 150, 50)
+        assert platform.owner_of(120) is None  # gap between ranges
+        assert platform.owner_of(200) is None  # past the last range
+        assert platform.owner_of(10**6) is None
+        assert platform.owner_of(-1) is None  # negative page
+
+    def test_landing_of_unowned_page_rejected(self):
+        platform, config = make_platform()
+        add_enclave(platform, config, "a", 0, 100)
+        add_enclave(platform, config, "b", 150, 50)
+        for page in (120, 200, -1):
+            with pytest.raises(SimulationError, match="unowned page"):
+                platform._on_load(page, LoadKind.DEMAND, 0)
+
+    def test_owner_slots_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(platform_module, "_MAX_SLOT", 2)
+        platform, config = make_platform()
+        add_enclave(platform, config, "a", 0, 10)
+        add_enclave(platform, config, "b", 10, 10)
+        with pytest.raises(SimulationError, match="at most 2 enclaves"):
+            add_enclave(platform, config, "c", 20, 10)
 
     def test_single_enclave_gets_private_platform(self):
         config = SimConfig(epc_pages=8, scan_period_cycles=10**9)
@@ -191,3 +218,36 @@ class TestLandingRoute:
         assert platform.epc.is_resident(1012)
         assert b.stats.preloads_completed == 4
         assert a.stats.preloads_completed == 0
+
+    def test_driver_registered_mid_run_gets_landings_and_credits(self):
+        """Fleet admission registers drivers while others run: the
+        newcomer's preloads land in its own stats and the scan credits
+        its touched preloads to it, not to the running enclave."""
+        config = SimConfig(epc_pages=64, scan_period_cycles=300_000)
+        platform = SharedPlatform(config)
+        a = add_enclave(platform, config, "a", 0, 1000, dfp=True)
+        t = 0
+        for page in range(10, 20):
+            t = a.access(page, t)
+        t += 10 * 44_000
+        a.poll(t)  # drain A's queued bursts
+        a_preloads = a.stats.preloads_completed
+        a_credits = a.stats.preloads_accessed
+        scans = a.stats.scans
+        assert scans > 0
+
+        b = add_enclave(platform, config, "b", 2000, 1000, dfp=True)
+        assert platform.owner_of(2010) is b
+        t = b.access(2010, t)
+        t = b.access(2011, t)  # B's burst 2012..2015
+        b.poll(t + 5 * 44_000)
+        t += 5 * 44_000
+        assert b.stats.preloads_completed == 4
+        for page in range(2012, 2016):
+            t = b.access(page, t)
+        assert b.stats.preload_hits == 4
+        b.poll(t + config.scan_period_cycles)
+        assert b.stats.preloads_accessed == 4
+        assert a.stats.preloads_completed == a_preloads
+        assert a.stats.preloads_accessed == a_credits
+        assert a.stats.scans > scans

@@ -11,16 +11,26 @@ Two contracts:
   event-trace tail, instead of silently producing wrong numbers.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import SimConfig
 from repro.core.dfp import DfpEngine
 from repro.enclave.driver import SgxDriver
+from repro.enclave.enclave import Enclave
 from repro.enclave.epc import Epc
 from repro.enclave.eviction import ClockEvictor
 from repro.errors import SanitizerError
 from repro.sim.engine import simulate
-from repro.sim.fleet import FleetScenario, TenantSpec, simulate_fleet
+from repro.sim.fleet import (
+    EPC_POLICIES,
+    SCENARIO_NAMES,
+    FleetScenario,
+    TenantSpec,
+    build_scenario,
+    simulate_fleet,
+)
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.synthetic import sequential, uniform_random
 
@@ -109,6 +119,26 @@ class TestTransparency:
             assert after.stats == before.stats
 
 
+class TestFleetTransparency:
+    @pytest.mark.parametrize("policy", EPC_POLICIES)
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_sanitized_fleet_is_bit_identical(self, name, policy):
+        """Every built-in fleet scenario under every frame policy passes
+        the sanitizer, and checking changes no tenant's numbers."""
+        scenario = build_scenario(name, seed=1, policy=policy)
+        plain = simulate_fleet(scenario).results
+        checked = simulate_fleet(
+            replace(
+                scenario,
+                config=(scenario.config or SimConfig()).replace(sanitize=True),
+            )
+        ).results
+        assert len(checked) == len(plain)
+        for before, after in zip(plain, checked):
+            assert after.total_cycles == before.total_cycles
+            assert after.stats == before.stats
+
+
 class TestDetection:
     def test_broken_burst_filter_is_caught(self, config, monkeypatch):
         """Drop the residency/queue filtering before enqueue: the
@@ -178,6 +208,22 @@ class TestDetection:
             simulate(seq_workload(), config.replace(sanitize=True), "baseline")
         assert "delta -1" in str(excinfo.value)
         assert excinfo.value.trace  # the event tail rode along
+
+    def test_accessed_bit_outside_dirty_span_is_caught(self, config):
+        """Set an A bit through ``Epc.mark_accessed``, which bypasses
+        the driver's dirty span: the next scan cannot age it, and the
+        sanitizer's post-scan check must flag it."""
+        driver = SgxDriver(
+            config.replace(sanitize=True), Enclave("a", elrange_pages=64)
+        )
+        t = 0
+        for page in range(8):
+            t = driver.access(page, t)
+        driver.poll(driver.next_wakeup())  # a scan ages all eight pages
+        driver.epc.mark_accessed(3)
+        with pytest.raises(SanitizerError, match="accessed bit") as excinfo:
+            driver.poll(driver.next_wakeup())
+        assert any("scan:" in entry for entry in excinfo.value.trace)
 
     def test_unsanitized_run_does_not_police(self, config, monkeypatch):
         """Without --sanitize the same cycle leak sails through (the

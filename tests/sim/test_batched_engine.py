@@ -303,7 +303,7 @@ class TestEngineSelection:
 
 class TestSharedPlatform:
     """Multi-enclave runs lean on ``SharedPlatform.owner_of`` for every
-    eviction attribution; the bisect rewrite must keep them exact."""
+    eviction attribution; the owner table must keep them exact."""
 
     def _workloads(self):
         return [
