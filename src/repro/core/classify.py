@@ -24,8 +24,8 @@ Class 1 test is the profiler's best static proxy for residency.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from collections import Counter, OrderedDict
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigError
 
@@ -46,9 +46,16 @@ class AccessClass(enum.Enum):
 class StreamClassifier:
     """Streaming classifier over a page-access trace.
 
-    Feed accesses one at a time with :meth:`classify`; the classifier
-    maintains its recency window and stream list incrementally, so a
-    full profiling run is one linear pass.
+    Feed accesses one at a time with :meth:`classify`, or a whole column
+    at once with :meth:`classify_pages`; the classifier maintains its
+    recency window and stream list incrementally, so a full profiling
+    run is one linear pass.
+
+    The stream list is searched in MRU order for the first tail a page
+    extends, as Algorithm 1 does.  Most accesses extend no stream, so
+    the classifier also counts tails per bucket of ``load_length + 1``
+    pages: a tail the page can extend lies in the bucket of ``page - 1``
+    or the one below, and when both are empty the walk is skipped.
     """
 
     def __init__(
@@ -73,57 +80,91 @@ class StreamClassifier:
         self._recent: "OrderedDict[int, None]" = OrderedDict()
         # Stream tails, most recently used first.
         self._tails: List[int] = []
+        # tail // match_window -> number of tails in that bucket.
+        self._buckets: Dict[int, int] = {}
 
     @property
     def window(self) -> int:
         """Capacity of the recency window (pages)."""
         return self._window
 
-    def _touch_recent(self, page: int) -> bool:
-        """Record ``page`` in the window; True if it was already there."""
-        recent = self._recent
-        if page in recent:
-            recent.move_to_end(page)
-            return True
-        recent[page] = None
-        if len(recent) > self._window:
-            recent.popitem(last=False)
-        return False
-
-    def _match_stream(self, page: int) -> Optional[int]:
-        """Index of the stream ``page`` sequentially extends, or None."""
-        for index, tail in enumerate(self._tails):
-            if 0 < page - tail <= self._match_window:
-                return index
-        return None
+    @property
+    def tails(self) -> Tuple[int, ...]:
+        """Snapshot of the stream tails, most recently used first."""
+        return tuple(self._tails)
 
     def classify(self, page: int) -> AccessClass:
         """Classify one access and update the classifier state."""
-        if page < 0:
-            raise ConfigError(f"page number must be non-negative, got {page}")
-        was_recent = page in self._recent
-        index = self._match_stream(page)
-        if was_recent:
-            result = AccessClass.CLASS1
-        elif index is not None:
-            result = AccessClass.CLASS2
-        else:
-            result = AccessClass.CLASS3
-        # State updates mirror Algorithm 1: extensions move to the
-        # head; irregular accesses seed a new stream in the LRU slot.
-        if index is not None:
-            self._tails.insert(0, self._tails.pop(index))
-            self._tails[0] = page
-        elif not was_recent:
-            if len(self._tails) >= self._stream_length:
-                self._tails.pop()
-            self._tails.insert(0, page)
-        self._touch_recent(page)
-        return result
+        return _BY_CODE[self.classify_pages((page,))[0]]
+
+    def classify_pages(self, pages: Iterable[int]) -> List[int]:
+        """Classify a run of accesses; return their class codes (1, 2, 3)."""
+        recent = self._recent
+        touch = recent.move_to_end
+        forget_oldest = recent.popitem
+        window = self._window
+        tails = self._tails
+        buckets = self._buckets
+        width = self._match_window
+        cap = self._stream_length
+        codes: List[int] = []
+        append = codes.append
+        for page in pages:
+            if page < 0:
+                raise ConfigError(f"page number must be non-negative, got {page}")
+            was_recent = page in recent
+            # Tails ``page`` extends lie in [page - width, page - 1].
+            index = -1
+            bucket = (page - 1) // width
+            if bucket in buckets or bucket - 1 in buckets:
+                low = page - width
+                for i, tail in enumerate(tails):
+                    if low <= tail < page:
+                        index = i
+                        break
+            # State updates mirror Algorithm 1: extensions move to the
+            # head; irregular accesses seed a new stream in the LRU slot.
+            if index >= 0:
+                old = tails[index] // width
+                new = page // width
+                if old != new:
+                    if buckets[old] == 1:
+                        del buckets[old]
+                    else:
+                        buckets[old] -= 1
+                    buckets[new] = buckets.get(new, 0) + 1
+                if index:
+                    del tails[index]
+                    tails.insert(0, page)
+                else:
+                    tails[0] = page
+                append(1 if was_recent else 2)
+            elif not was_recent:
+                if len(tails) >= cap:
+                    old = tails.pop() // width
+                    if buckets[old] == 1:
+                        del buckets[old]
+                    else:
+                        buckets[old] -= 1
+                tails.insert(0, page)
+                new = page // width
+                buckets[new] = buckets.get(new, 0) + 1
+                append(3)
+            else:
+                append(1)
+            if was_recent:
+                touch(page)
+            else:
+                recent[page] = None
+                if len(recent) > window:
+                    forget_oldest(last=False)
+        return codes
 
     def classify_trace(self, pages: "list[int]") -> Dict[AccessClass, int]:
         """Classify a whole trace; return per-class counts."""
-        counts = {cls: 0 for cls in AccessClass}
-        for page in pages:
-            counts[self.classify(page)] += 1
-        return counts
+        tally = Counter(self.classify_pages(pages))
+        return {cls: tally[cls.value] for cls in AccessClass}
+
+
+#: Class code (``AccessClass.value``) -> class.
+_BY_CODE = (None, AccessClass.CLASS1, AccessClass.CLASS2, AccessClass.CLASS3)

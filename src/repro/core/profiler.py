@@ -17,8 +17,9 @@ The profiler also powers two evaluation artifacts:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.classify import AccessClass, StreamClassifier
 from repro.core.config import SimConfig
@@ -133,27 +134,38 @@ def profile_workload(
     for instr_id, name in workload.instructions.items():
         instructions[instr_id] = InstructionProfile(instruction=instr_id, name=name)
 
-    stride: Optional[int] = None
+    known = instructions.keys()
+    tally: "Counter[Tuple[int, int]]" = Counter()
+    # Pattern samples: every ``stride``-th access.  The trace length is
+    # not known up front, so the stride doubles (and every other sample
+    # is dropped) whenever the series outgrows its cap.
+    stride = 1
     index = 0
-    for instr, page, _cycles in workload.trace(seed=seed, input_set=input_set):
-        prof = instructions.get(instr)
-        if prof is None:
+    for instrs, pages, _cycles in workload.trace_blocks(seed=seed, input_set=input_set):
+        if not known >= set(instrs):
+            unknown = next(instr for instr in instrs if instr not in known)
             raise WorkloadError(
-                f"workload {workload.name!r} emitted unknown instruction {instr}"
+                f"workload {workload.name!r} emitted unknown instruction {unknown}"
             )
-        prof.add(classifier.classify(page))
+        tally.update(zip(instrs, classifier.classify_pages(pages)))
         if sample_patterns:
-            if stride is None:
-                # One pass to learn the length is wasteful; instead
-                # sample adaptively with a growing stride.
-                stride = 1
-            if index % stride == 0:
-                profile.pattern_samples.append((index, page))
-                if len(profile.pattern_samples) > max_pattern_samples:
-                    profile.pattern_samples = profile.pattern_samples[::2]
-                    stride *= 2
-        index += 1
+            for at, page in enumerate(pages, index):
+                if at % stride == 0:
+                    profile.pattern_samples.append((at, page))
+                    if len(profile.pattern_samples) > max_pattern_samples:
+                        profile.pattern_samples = profile.pattern_samples[::2]
+                        stride *= 2
+        index += len(pages)
+    for (instr, code), count in tally.items():
+        prof = instructions[instr]
+        if code == 1:
+            prof.class1 += count
+        elif code == 2:
+            prof.class2 += count
+        else:
+            prof.class3 += count
     profile.total_accesses = index
     if index == 0:
         raise WorkloadError(f"workload {workload.name!r} produced an empty trace")
     return profile
+

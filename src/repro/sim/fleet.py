@@ -518,6 +518,10 @@ def simulate_fleet(
     def depart(tenant: _Tenant, *, truncated: bool) -> None:
         nonlocal active, live
         tenant.done = True
+        # Release the trace generator and its block buffers: departed
+        # tenants stay in ``tenants`` until the run ends, and a churning
+        # fleet would otherwise hold one partly drained trace per tenant.
+        tenant.trace = None
         tenant.record.completed = not truncated
         tenant.record.departed_at = tenant.now
         if telemetry is not None:

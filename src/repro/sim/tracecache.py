@@ -5,8 +5,10 @@ Workload traces are deterministic in ``(workload, seed, input_set)``
 regenerate the same event stream once per scheme: a four-scheme
 comparison walked the same generator pipeline — phase factories, page
 bounds checks, instruction checks — four times.  This module
-materializes a trace once into three compact ``array('q')`` columns
-and replays it for every subsequent run of the same key.
+materializes a trace once into three compact ``array('q')`` columns,
+extending them by whole :meth:`~repro.workloads.base.Workload.
+trace_blocks` blocks, and replays it for every subsequent run of the
+same key.
 
 Replay is exact: :class:`MaterializedTrace` yields the identical
 ``(instruction, page, compute_cycles)`` tuples the generator would
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.units import MIB
-from repro.workloads.base import TraceEvent, Workload
+from repro.workloads.base import Block, TraceEvent, Workload, pack_blocks
 
 __all__ = [
     "CacheKey",
@@ -105,26 +107,31 @@ class MaterializedTrace:
         return (min(self.pages), max(self.pages))
 
 
-def materialize_events(
-    events: Iterable[TraceEvent], key: CacheKey
-) -> MaterializedTrace:
-    """Materialize an already-open event stream into compact columns."""
+def _from_blocks(blocks: Iterable[Block], key: CacheKey) -> MaterializedTrace:
+    """Concatenate a block stream into one trace's columns."""
     instructions = array("q")
     pages = array("q")
     cycles = array("q")
-    for instr, page, compute in events:
-        instructions.append(instr)
-        pages.append(page)
-        cycles.append(compute)
+    for block_instrs, block_pages, block_cycles in blocks:
+        instructions.extend(block_instrs)
+        pages.extend(block_pages)
+        cycles.extend(block_cycles)
     return MaterializedTrace(
         key=key, instructions=instructions, pages=pages, cycles=cycles
     )
 
 
+def materialize_events(
+    events: Iterable[TraceEvent], key: CacheKey
+) -> MaterializedTrace:
+    """Materialize an already-open event stream into compact columns."""
+    return _from_blocks(pack_blocks(events), key)
+
+
 def materialize(workload: Workload, *, seed: int, input_set: str) -> MaterializedTrace:
-    """Walk one trace generator to completion into compact columns."""
-    return materialize_events(
-        workload.trace(seed=seed, input_set=input_set),
+    """Generate one whole trace, block by block, into compact columns."""
+    return _from_blocks(
+        workload.trace_blocks(seed=seed, input_set=input_set),
         trace_key(workload, seed, input_set),
     )
 

@@ -16,20 +16,65 @@ Traces are generated lazily and are deterministic in ``(seed,
 input_set)``; the ``train`` input set is what SIP profiles, the ``ref``
 input set is what performance runs use, mirroring the paper's
 PGO-realistic split (Section 5.2).
+
+A trace has two equivalent forms.  :meth:`Workload.trace` yields event
+tuples one at a time; :meth:`Workload.trace_blocks` yields the same
+events as :data:`Block` s — three parallel ``array('q')`` columns
+(instructions, pages, compute cycles) of at most a few thousand events
+each.  Consumers that look at whole traces (materialization, SIP
+profiling) read blocks; the per-access simulation loop reads tuples.
 """
 
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
+from itertools import chain, islice, starmap
+from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
 from repro.errors import WorkloadError
 
-__all__ = ["Access", "Workload", "SyntheticWorkload", "TraceEvent"]
+__all__ = [
+    "Access",
+    "Block",
+    "BLOCK_EVENTS",
+    "Phase",
+    "Workload",
+    "SyntheticWorkload",
+    "TraceEvent",
+    "events_of",
+    "pack_blocks",
+    "phase_blocks",
+]
 
 #: The raw event tuple flowing through the hot simulation loop.
 TraceEvent = Tuple[int, int, int]
+
+#: A run of consecutive events as parallel ``array('q')`` columns:
+#: ``(instructions, pages, compute_cycles)``, all the same length.
+Block = Tuple[array, array, array]
+
+#: Events per block the generators aim for.  Bigger blocks amortize
+#: more per-event interpreter work; smaller ones bound the memory a
+#: lazily pulled trace holds (every fleet tenant holds one).
+BLOCK_EVENTS = 1024
+
+
+def pack_blocks(events: Iterable[TraceEvent]) -> Iterator[Block]:
+    """Group an event stream into blocks of at most :data:`BLOCK_EVENTS`."""
+    it = iter(events)
+    while True:
+        chunk = list(islice(it, BLOCK_EVENTS))
+        if not chunk:
+            return
+        instrs, pages, cycles = zip(*chunk)
+        yield array("q", instrs), array("q", pages), array("q", cycles)
+
+
+def events_of(blocks: Iterable[Block]) -> Iterator[TraceEvent]:
+    """The event tuples of a block stream, lazily, in order."""
+    return chain.from_iterable(starmap(zip, blocks))
 
 
 @dataclass(frozen=True)
@@ -99,7 +144,22 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def trace(self, *, seed: int = 0, input_set: str = "ref") -> Iterator[TraceEvent]:
-        """Yield ``(instruction, page, compute_cycles)`` events."""
+        """Yield ``(instruction, page, compute_cycles)`` events.
+
+        Lazy: events are produced as the caller pulls them, so a
+        consumer that stops early (a truncated run, a departing fleet
+        tenant) never pays for the rest of the trace.
+        """
+
+    def trace_blocks(self, *, seed: int = 0, input_set: str = "ref") -> Iterator[Block]:
+        """The events of :meth:`trace` as column :data:`Block` s.
+
+        The default packs :meth:`trace`'s tuples, so a workload that
+        implements only :meth:`trace` still materializes and profiles
+        through this one entry point; generated workloads override it
+        to build their columns directly.
+        """
+        return pack_blocks(self.trace(seed=seed, input_set=input_set))
 
     def accesses(self, *, seed: int = 0, input_set: str = "ref") -> Iterator[Access]:
         """Like :meth:`trace` but yielding :class:`Access` objects."""
@@ -118,12 +178,40 @@ class Workload(abc.ABC):
 PhaseFactory = Callable[[int, str], Iterable[TraceEvent]]
 
 
+class Phase:
+    """One run of a phase: its events as lazily generated column blocks.
+
+    What the :mod:`~repro.workloads.synthetic` factories return.  Single
+    use, like the generator it wraps: :meth:`blocks` and iteration
+    consume the same underlying stream.
+    """
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks: Iterator[Block]) -> None:
+        self._blocks = blocks
+
+    def blocks(self) -> Iterator[Block]:
+        """The phase's events as column blocks."""
+        return self._blocks
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return events_of(self._blocks)
+
+
+def phase_blocks(events: Iterable[TraceEvent]) -> Iterator[Block]:
+    """Blocks of one phase run: a :class:`Phase`'s own column blocks,
+    or any other event iterable packed."""
+    return events.blocks() if isinstance(events, Phase) else pack_blocks(events)
+
+
 class SyntheticWorkload(Workload):
     """A workload assembled from phase generators.
 
     Concrete benchmark models supply a list of phase factories; each
-    factory receives ``(seed, input_set)`` and yields trace events.
-    Phases run in order, once per trace.
+    factory receives ``(seed, input_set)`` and returns the phase's
+    events (see :mod:`repro.workloads.synthetic`).  Phases run in
+    order, once per trace.
     """
 
     def __init__(
@@ -144,19 +232,41 @@ class SyntheticWorkload(Workload):
         return self._instructions
 
     def trace(self, *, seed: int = 0, input_set: str = "ref") -> Iterator[TraceEvent]:
+        return events_of(self.trace_blocks(seed=seed, input_set=input_set))
+
+    def trace_blocks(self, *, seed: int = 0, input_set: str = "ref") -> Iterator[Block]:
+        """Validated column blocks of every phase, in order.
+
+        Each block is checked whole: its page column against the
+        footprint with ``min``/``max`` and its instruction column
+        against the declared ids with one set test.  A block that fails
+        is rescanned event by event only to name the first offending
+        event in the :class:`~repro.errors.WorkloadError`.  The check is
+        per block, so the error can surface up to one block before the
+        offending event would have been pulled.
+        """
         self._check_input_set(input_set)
         footprint = self._footprint_pages
-        known = self._instructions
+        known = self._instructions.keys()
         for phase in self._phases:
-            for event in phase(seed, input_set):
-                instr, page, _cycles = event
-                if page >= footprint or page < 0:
-                    raise WorkloadError(
-                        f"workload {self._name!r} touched page {page} outside "
-                        f"its declared footprint of {footprint} pages"
-                    )
-                if instr not in known:
-                    raise WorkloadError(
-                        f"workload {self._name!r} used undeclared instruction {instr}"
-                    )
-                yield event
+            for block in phase_blocks(phase(seed, input_set)):
+                instrs, pages, _cycles = block
+                if not pages:
+                    continue
+                if min(pages) < 0 or max(pages) >= footprint or not known >= set(instrs):
+                    self._reject(block)
+                yield block
+
+    def _reject(self, block: Block) -> None:
+        """Raise for the first event of ``block`` the workload may not emit."""
+        footprint = self._footprint_pages
+        for instr, page, _cycles in zip(*block):
+            if page >= footprint or page < 0:
+                raise WorkloadError(
+                    f"workload {self._name!r} touched page {page} outside "
+                    f"its declared footprint of {footprint} pages"
+                )
+            if instr not in self._instructions:
+                raise WorkloadError(
+                    f"workload {self._name!r} used undeclared instruction {instr}"
+                )

@@ -50,3 +50,82 @@ def test_larger_window_never_decreases_class1(window, pages):
     small_counts = small.classify_trace(list(pages))
     large_counts = large.classify_trace(list(pages))
     assert large_counts[AccessClass.CLASS1] >= small_counts[AccessClass.CLASS1]
+
+
+class _ListScanClassifier:
+    """Reference: the classifier as a plain MRU list scan on every access."""
+
+    def __init__(self, window, stream_list_length, load_length):
+        self.window = window
+        self.length = stream_list_length
+        self.match_window = load_length + 1
+        self.recent = []  # least recently touched first
+        self.tails = []  # most recently used first
+
+    def classify(self, page):
+        was_recent = page in self.recent
+        index = None
+        for i, tail in enumerate(self.tails):
+            if 0 < page - tail <= self.match_window:
+                index = i
+                break
+        if was_recent:
+            result = AccessClass.CLASS1
+        elif index is not None:
+            result = AccessClass.CLASS2
+        else:
+            result = AccessClass.CLASS3
+        if index is not None:
+            self.tails.pop(index)
+            self.tails.insert(0, page)
+        elif not was_recent:
+            if len(self.tails) >= self.length:
+                self.tails.pop()
+            self.tails.insert(0, page)
+        if was_recent:
+            self.recent.remove(page)
+        self.recent.append(page)
+        if len(self.recent) > self.window:
+            self.recent.pop(0)
+        return result
+
+
+# Pages clustered so that streams, bucket edges and window evictions
+# all occur: short walks with small steps, restarted at random.
+clustered_pages = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=400),
+        st.lists(st.integers(min_value=-3, max_value=9), max_size=12),
+    ),
+    min_size=1,
+    max_size=40,
+).map(
+    lambda walks: [
+        max(0, start + sum(steps[:k]))
+        for start, steps in walks
+        for k in range(len(steps) + 1)
+    ]
+)
+
+
+@given(
+    st.one_of(clustered_pages, pages_lists),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=9),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_indexed_classifier_equals_list_scan(pages, window, length, load_length, batch):
+    """The bucket-indexed classifier makes the list scan's decisions:
+    the same class for every access and the same final tails, whether
+    pages arrive one by one or as one column."""
+    fast = StreamClassifier(window=window, stream_list_length=length, load_length=load_length)
+    ref = _ListScanClassifier(window, length, load_length)
+    expected = [ref.classify(page) for page in pages]
+    if batch:
+        got = [AccessClass(code) for code in fast.classify_pages(pages)]
+    else:
+        got = [fast.classify(page) for page in pages]
+    assert got == expected
+    assert list(fast.tails) == ref.tails

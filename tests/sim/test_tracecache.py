@@ -24,6 +24,14 @@ class TestMaterializedTrace:
         assert list(trace) == list(workload.trace(seed=0, input_set="ref"))
         assert len(trace) == len(trace.pages)
 
+    def test_trace_only_workload_materializes(self, scripted_workload_factory):
+        """A workload implementing only ``trace()`` still materializes,
+        through the default block packing."""
+        events = [(i % 3, (7 * i) % 50, 100 + i) for i in range(2_500)]
+        workload = scripted_workload_factory(events, footprint_pages=50)
+        trace = materialize(workload, seed=0, input_set="ref")
+        assert list(trace) == events
+
     def test_nbytes_counts_all_columns(self):
         workload = build_workload("microbenchmark", scale=SCALE)
         trace = materialize(workload, seed=0, input_set="ref")

@@ -46,6 +46,27 @@ class TestTraceValidation:
         with pytest.raises(WorkloadError):
             list(wl.trace())
 
+    def test_error_names_first_offending_event(self):
+        """Validation is per block, but the error still names the first
+        event the workload may not emit."""
+        wl = make(footprint=10, phases=[sequential(0, 0, 30, compute=1)])
+        with pytest.raises(WorkloadError, match="touched page 10 outside"):
+            list(wl.trace())
+        wl = make(
+            instructions={0: "a"},
+            phases=[sequential(0, 0, 3, compute=1), sequential(5, 0, 3, compute=1)],
+        )
+        with pytest.raises(WorkloadError, match="undeclared instruction 5"):
+            list(wl.trace())
+
+    def test_plain_tuple_phase_is_accepted(self):
+        """A phase factory may return any iterable of event tuples."""
+        events = [(0, 3, 7), (0, 1, 9), (0, 2, 8)]
+        wl = make(footprint=4, phases=[lambda seed, input_set: list(events)])
+        assert list(wl.trace()) == events
+        blocks = list(wl.trace_blocks())
+        assert [list(column) for column in blocks[0]] == [[0, 0, 0], [3, 1, 2], [7, 9, 8]]
+
     def test_unknown_input_set_rejected(self):
         with pytest.raises(WorkloadError):
             list(make().trace(input_set="huge"))

@@ -1,6 +1,8 @@
 """Unit tests for the synthetic pattern generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads import synthetic as syn
@@ -197,3 +199,51 @@ class TestCombinators:
             syn.interleave_phases(
                 [syn.sequential(0, 0, 2, compute=10)], chunk=[1, 2]
             )
+
+
+def _round_robin(phases, chunks):
+    """Reference interleaving: each round every live phase emits up to
+    its chunk and drops out once it cannot fill one."""
+    slots = [(iter(events), take) for events, take in zip(phases, chunks)]
+    out = []
+    while slots:
+        survivors = []
+        for it, take in slots:
+            got = [event for _, event in zip(range(take), it)]
+            out.extend(got)
+            if len(got) == take:
+                survivors.append((it, take))
+        slots = survivors
+    return out
+
+
+def _tuple_phase(instr, count):
+    return lambda seed, input_set: [(instr, page, 1) for page in range(count)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3_000), st.integers(1, 700)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_interleave_matches_round_robin(spec, nested):
+    """Bulk rounds, short tails and nested interleaves all emit the
+    reference round-robin order, for phases that yield column blocks
+    and for phases that yield plain tuples."""
+    factories = []
+    for index, (count, _take) in enumerate(spec):
+        if count == 0 or index % 2:
+            factories.append(_tuple_phase(index, count))
+        else:
+            factories.append(syn.sequential(index, 0, count, compute=5, jitter=2, salt=index))
+    chunks = [take for _count, take in spec]
+    phase = syn.interleave_phases(factories, chunk=chunks)
+    expected = _round_robin([list(f(1, "ref")) for f in factories], chunks)
+    if nested:
+        phase = syn.interleave_phases([phase, _tuple_phase(9, 50)], chunk=[97, 1])
+        expected = _round_robin([expected, list(_tuple_phase(9, 50)(1, "ref"))], [97, 1])
+    assert run(phase, seed=1) == expected
